@@ -33,6 +33,8 @@ from repro.serving import (
     profile_kernels,
     ternary_matmul,
 )
+from repro.serving.kernels import as_block_diagonal
+from repro.serving.kernels_fast import dense_error_bound
 
 #: fused backend must beat the reference by this factor on linear+pw kinds
 FUSED_SPEEDUP_FLOOR = 1.3
@@ -175,54 +177,88 @@ def _ternary_values(rng, rows: int, cols: int, density: float) -> np.ndarray:
     return (mask * signs).astype(np.int8)
 
 
-def _best_seconds(fn, repeats: int = 5, inner: int = 4) -> float:
-    """Best-of-``repeats`` mean over ``inner`` calls (noise-resistant)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - start) / inner)
-    return best
+def _mean_seconds(fn, inner: int) -> float:
+    """Mean wall time of ``inner`` back-to-back calls."""
+    start = time.perf_counter()
+    for _ in range(inner):
+        fn()
+    return (time.perf_counter() - start) / inner
 
 
-#: per-kind plane geometries shaped like the packed model's hot layers:
-#: (batch rows M, activation cols C, transform rows R, nonzero density).
+def _interleaved_speedups(reference_fn, fn, pairs: int = 7, inner: int = 4):
+    """Per-pair speedups of ``fn`` over ``reference_fn``, timed A B A B ….
+
+    Alternating the two inside every pair exposes both to the same host
+    state, so drift hits each pair's numerator and denominator alike.
+    Returns the backend's per-pair seconds and the per-pair speedups.
+    """
+    ref_s, backend_s = [], []
+    for _ in range(pairs):
+        ref_s.append(_mean_seconds(reference_fn, inner))
+        backend_s.append(_mean_seconds(fn, inner))
+    return np.array(backend_s), np.array(ref_s) / np.array(backend_s)
+
+
+#: per-kind geometries shaped like the packed model's hot layers:
+#: (batch rows M, transform rows R, input cols C, nonzero density).
 #: ``linear`` is the tree layers' 64-feature -> r=12 transform at serving
 #: batch; ``pw`` is a pointwise conv over its N*OH*OW patch rows; ``dw``
-#: is the block-diagonal depthwise gather (9-tap rows in a C*K space).
+#: is a 64-channel 3x3 depthwise filter over its (M, C*9) patch matrix
+#: (block-diagonal planes for the gather backends, taps for dense).
 BACKEND_CASES = {
-    "linear": (256, 64, 12, 0.9),
+    "linear": (256, 12, 64, 0.9),
     "pw": (4000, 64, 64, 0.9),
-    "dw": (2000, 576, 64, 9 / 576),
+    "dw": (2000, 64, 9, 0.9),
 }
+DW_KERNEL = (3, 3)
 
 
 def test_backend_speedups():
-    """Every registered backend: bitwise identity plus timed speedup.
+    """Every registered backend against the reference, timed interleaved.
 
-    Identity against :func:`ternary_matmul` is asserted unconditionally on
-    every kind; the fused-backend speedup floor on the linear and pw kinds
+    ``reference`` and ``fused`` must match :func:`ternary_matmul` bit for
+    bit; ``dense`` must stay within its stated bound
+    (:func:`~repro.serving.kernels_fast.dense_error_bound`).  Timings are
+    interleaved reference/backend pairs, recorded as median and IQR of the
+    per-pair speedups.  The fused-backend floor on the linear and pw kinds
     only gates on >= ``MIN_GATE_CPUS`` machines (like the cluster benches)
     — below that the timings are still recorded, just not enforced.
     """
     rng = np.random.default_rng(7)
     results: dict = {}
-    for kind, (m, cols, rows, density) in BACKEND_CASES.items():
-        blob, shape = pack_ternary(_ternary_values(rng, rows, cols, density))
+    for kind, (m, rows, cols, density) in BACKEND_CASES.items():
+        values = _ternary_values(rng, rows, cols, density)
+        blob, shape = pack_ternary(values)
         planes = decode_planes(blob, shape)
-        x = rng.standard_normal((m, cols)).astype(np.float32)
-        want = ternary_matmul(x, planes)
-        ref_s = _best_seconds(lambda: ternary_matmul(x, planes))
+        if kind == "dw":
+            reference_planes = as_block_diagonal(planes, cols)
+            # row c of the block-diagonal matrix holds filter c in columns c*9..c*9+8
+            values = (np.eye(rows)[:, :, None] * values[:, None, :]).reshape(rows, -1)
+        else:
+            reference_planes = planes
+        x = rng.standard_normal((m, reference_planes.cols)).astype(np.float32)
+        want = ternary_matmul(x, reference_planes)
         for name in sorted(available_backends()):
             backend = get_backend(name)
-            prepared = backend.prepare(planes)
+            if kind == "dw":
+                prepared = backend.prepare_depthwise(planes, DW_KERNEL)
+            else:
+                prepared = backend.prepare(planes)
             got = backend.matmul(x, prepared)
-            np.testing.assert_array_equal(got, want, err_msg=f"{name}/{kind}")
-            best = _best_seconds(lambda: backend.matmul(x, prepared))
+            if name == "dense":
+                assert np.all(np.abs(got - want) <= dense_error_bound(x, values, cols)), kind
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=f"{name}/{kind}")
+            seconds, speedups = _interleaved_speedups(
+                lambda: ternary_matmul(x, reference_planes),
+                lambda: backend.matmul(x, prepared),
+            )
+            q25, median, q75 = np.percentile(speedups, [25, 50, 75])
             results.setdefault(name, {})[kind] = {
-                "ms": best * 1e3,
-                "speedup_vs_reference": ref_s / best,
+                "ms": float(np.median(seconds)) * 1e3,
+                "speedup_vs_reference": float(median),
+                "speedup_iqr": [float(q25), float(q75)],
+                "pairs": len(speedups),
             }
     cpus = available_cpus()
     enforced = cpus >= MIN_GATE_CPUS

@@ -5,16 +5,18 @@ a :class:`~repro.deploy.image.ModelImage` and NumPy primitives, so agreement
 with the live :class:`~repro.core.hybrid.strassenified.STHybridNet` is a
 real end-to-end check that the image contains everything a device needs.
 
-The arithmetic mirrors a microcontroller kernel: ternary transforms are
-applied as gather-accumulate passes over the +1/−1 bit planes (TNN-style
-packed execution), the only multiplications are the per-hidden-unit ⊙â and
-the per-channel output scale — exactly the operation census of the cost
-model.  The hot path is the shared packed runtime in
+With ``kernel="reference"`` the arithmetic mirrors a microcontroller
+kernel: ternary transforms are applied as gather-accumulate passes over the
++1/−1 bit planes (TNN-style packed execution), and the only multiplications
+are the per-hidden-unit ⊙â and the per-channel output scale — exactly the
+operation census of the cost model.  The default is the process-default
+kernel backend (the dense GEMM backend unless ``$REPRO_KERNEL_BACKEND``
+says otherwise).  The hot path is the shared packed runtime in
 :mod:`repro.serving.packed`: by default (``cache=True``) each layer's
-2-bit blobs are decoded once and the bit planes are reused across calls;
-``cache=False`` re-decodes on every call — the original on-the-fly
-semantics, with nothing resident beyond the image bytes.  Both modes run
-the identical kernels, so their outputs are bitwise equal.
+2-bit blobs are decoded once and reused across calls; ``cache=False``
+re-decodes on every call — the original on-the-fly semantics, with nothing
+resident beyond the image bytes.  Both modes run the identical kernels, so
+their outputs are bitwise equal.
 """
 
 from __future__ import annotations

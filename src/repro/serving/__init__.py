@@ -8,10 +8,10 @@ it *fast to serve*:
   once from the 2-bit blobs;
 * :mod:`repro.serving.kernels_fast` — the pluggable kernel-backend
   registry: the fused single-pass gather backend (one concatenated index
-  plane, one gather, one reduceat, signed combine — with an auto-chosen
-  feature-major layout for wide layers), narrow int32 accumulation, and a
-  popcount-on-bitplanes backend for binary activations; every backend is
-  bitwise identical to the reference and selectable via
+  plane, one gather, one reduceat, signed combine — bitwise identical to
+  the reference) and the default dense backend (BLAS GEMM against the
+  decoded ``{-1, 0, +1}`` matrix, per-channel tap sums for depthwise —
+  within a stated tolerance of the reference), selectable via
   ``PackedModel(kernel=...)`` / ``ClusterRouter(kernel=...)`` /
   ``$REPRO_KERNEL_BACKEND``;
 * :mod:`repro.serving.packed`   — :class:`PackedModel`, the cached runtime
@@ -118,10 +118,9 @@ from repro.serving.control import (
 from repro.serving.frontend import AsyncServingFrontend
 from repro.serving.kernels import TernaryPlanes, decode_planes, ternary_matmul
 from repro.serving.kernels_fast import (
+    DenseBackend,
     FusedBackend,
     KernelBackend,
-    NarrowBackend,
-    PopcountBackend,
     ReferenceBackend,
     available_backends,
     get_backend,
@@ -231,10 +230,9 @@ __all__ = [
     "WorkerStats",
     "decode_planes",
     "ternary_matmul",
+    "DenseBackend",
     "FusedBackend",
     "KernelBackend",
-    "NarrowBackend",
-    "PopcountBackend",
     "ReferenceBackend",
     "available_backends",
     "get_backend",

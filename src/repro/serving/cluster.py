@@ -2959,9 +2959,9 @@ class ClusterRouter:
     def profile_kernels(self, enabled: bool = True) -> None:
         """Toggle opt-in per-kind kernel timing on every worker.
 
-        While enabled, each worker attributes its ``_plane_sums`` gather
-        passes to the active layer kind (``conv`` / ``dw`` / ``pw`` /
-        ``fc``); :meth:`kernel_profile` collects the merged breakdown.
+        While enabled, each worker attributes its kernel passes to the
+        active layer kind (``conv`` / ``dw`` / ``pw`` / ``linear``);
+        :meth:`kernel_profile` collects the merged breakdown.
         Disabled (the default) the kernels pay a single global load.
         """
         self.pool.set_kernel_profiling(enabled)

@@ -1,45 +1,41 @@
-"""Pluggable fast ternary kernel backends: fused gather, narrow, popcount.
+"""Pluggable ternary kernel backends: fused gather and dense GEMM.
 
 The reference kernel (:mod:`repro.serving.kernels`) executes a ternary
 matmul as **two** gather-accumulate passes — one per sign plane — each
 materialising its own scratch slab and walking the activations
 independently.  This module makes the execution strategy pluggable: a
 :class:`KernelBackend` registry (``"reference"`` / ``"fused"`` /
-``"narrow"`` / ``"popcount"``) selectable per
-:class:`~repro.serving.packed.PackedModel` (``kernel=``), per cluster
-(``ClusterRouter(kernel=...)`` rides the worker-init config so every
-replica runs the same backend) or process-wide via the
-``REPRO_KERNEL_BACKEND`` environment variable.
+``"dense"``) selectable per :class:`~repro.serving.packed.PackedModel`
+(``kernel=``), per cluster (``ClusterRouter(kernel=...)`` rides the
+worker-init config so every replica runs the same backend) or
+process-wide via the ``REPRO_KERNEL_BACKEND`` environment variable.
 
-Every backend is **bitwise identical** to the reference on the dtypes it
-accelerates — each keeps the reference's per-segment left-to-right
-summation order, so serving-stack identity guarantees survive backend
-swaps (property-tested in ``tests/test_kernels_fast.py``):
-
-* :class:`FusedBackend` — the +/− planes are concatenated into **one**
-  index array at prepare time, so each matmul runs one gather, one
-  ``reduceat`` over ``2 × rows`` segments, and one signed combine
-  (``plus_half - minus_half``) instead of two full passes and two scratch
-  slabs.  Orientation is adaptive: gather-heavy shapes transpose the
-  activation chunk so ``reduceat`` runs along axis 0, where every
-  accumulation step is a contiguous SIMD-friendly row addition — same
-  summation order, measurably faster on the gather-dominated ``linear`` /
-  ``pw`` layer kinds.
-* :class:`NarrowBackend` — fused execution plus narrow accumulation:
-  ``int64`` activations accumulate in ``int32`` when the decode-time
-  overflow bound proves it safe (exact, hence still bitwise), and an
-  explicit ``narrow_floats=True`` opt-in accumulates ``float64`` inputs in
-  ``float32`` (*not* bitwise — never registered as a default).
-* :class:`PopcountBackend` — TNN-style bit-plane execution (Alemdar et
-  al.): when the activations are exactly binary (every value 0 or 1), they
-  are packed to ``uint64`` bit planes and each plane sum becomes
-  ``popcount(x_bits & w_bits)`` — no gather scratch at all.  Non-binary
-  activations are gated off to the fused path, so the backend is safe (and
-  bitwise) everywhere.
+* :class:`FusedBackend` — **bitwise identical** to the reference: the +/−
+  planes are concatenated into **one** index array at prepare time, so
+  each matmul runs one gather, one ``reduceat`` over ``2 × rows`` segments,
+  and one signed combine (``plus_half - minus_half``) instead of two full
+  passes and two scratch slabs.  Orientation is adaptive: gather-heavy
+  shapes transpose the activation chunk so ``reduceat`` runs along axis 0,
+  where every accumulation step is a contiguous SIMD-friendly row addition
+  — same summation order, measurably faster on the gather-dominated
+  ``linear`` / ``pw`` layer kinds.
+* :class:`DenseBackend` — the default.  The planes decode once into a
+  float32 ``{-1, 0, +1}`` matrix and every matmul is a BLAS GEMM
+  (``x @ W``); a depthwise filter stays a per-channel ``(KH, KW, C)`` tap
+  array and runs as an elementwise tap sum.  BLAS reorders the sums, so
+  dense is **not** bitwise equal to the reference.  Its contract instead:
+  every output is within ``2 · n · eps · Σ|x·w|`` of the reference (``n``
+  terms per output, ``eps`` the dtype's machine epsilon — the classic
+  bound on two orderings of one sum; :func:`dense_error_bound`); a row's
+  bits depend only on that row (deterministic, cached = on-the-fly,
+  batch-invariant); and because it multiplies zero weights too, a
+  non-finite activation gives ``NaN`` (``0 · inf``) where the gather
+  would skip it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -50,6 +46,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.serving.kernels import (
     TernaryPlanes,
+    as_block_diagonal,
     gather_chunk_rows,
     get_kernel_profile,
     ternary_matmul,
@@ -59,17 +56,15 @@ from repro.serving.kernels import (
 ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
 
 #: registry default when the environment does not override it
-DEFAULT_BACKEND_NAME = "fused"
+DEFAULT_BACKEND_NAME = "dense"
 
-def _float_exact_max(dtype: np.dtype) -> int:
-    """Largest count a float dtype represents exactly (2**(mantissa+1)).
+#: rows of every dense GEMM call (the tail block is zero-padded): see
+#: :func:`_row_blocked_matmul`
+GEMM_BLOCK_ROWS = 128
 
-    A binary-activation plane sum is an integer; above this bound the
-    reference's sequential float summation starts rounding (order-
-    dependently), so popcount execution could no longer match it bitwise.
-    """
-    return 2 ** (np.finfo(dtype).nmant + 1)
-
+#: output bytes per depthwise tap-sum chunk: the running sum plus its
+#: product scratch fit in a core's L2 (64–512 KB all measured alike)
+TAP_CHUNK_BYTES = 256 * 1024
 
 # --------------------------------------------------------------------------- #
 # prepared plane layouts
@@ -86,9 +81,7 @@ class FusedPlanes:
     rows segment starts).  ``empty`` lists the segments with no entries —
     ``reduceat`` emits a stray element for those, which the matmul zeroes —
     with ``nonempty`` / ``nonempty_bounds`` the prepare-time complement the
-    hot path reduces over (fixed per layout, so never recomputed per call),
-    and ``max_segment`` (the longest single segment) is the decode-time
-    bound the narrow/popcount overflow checks are derived from.
+    hot path reduces over (fixed per layout, so never recomputed per call).
     """
 
     rows: int
@@ -98,7 +91,6 @@ class FusedPlanes:
     empty: np.ndarray
     nonempty: np.ndarray
     nonempty_bounds: np.ndarray
-    max_segment: int
 
     @property
     def nnz(self) -> int:
@@ -118,37 +110,55 @@ class FusedPlanes:
 
 
 @dataclass(frozen=True)
-class PopcountPlanes:
-    """Fused layout plus packed ``uint64`` weight bit planes.
+class DenseMatrix:
+    """A ternary matrix decoded to float32 ``{-1, 0, +1}``, ``(cols, rows)``.
 
-    ``masks`` is ``(2 * rows, words)``: row ``j`` is row ``j``'s +1 column
-    bitmask, row ``rows + j`` its −1 bitmask, little-endian bit order so
-    activation planes packed the same way line up word for word.
+    Stored transposed so the transform is a plain ``x @ weights``.
     """
 
-    fused: FusedPlanes
-    masks: np.ndarray
-    words: int
+    weights: np.ndarray
 
     @property
     def rows(self) -> int:
         """Output rows of the ternary transform."""
-        return self.fused.rows
+        return self.weights.shape[1]
 
     @property
     def cols(self) -> int:
-        """Input columns the transform gathers over."""
-        return self.fused.cols
-
-    @property
-    def nnz(self) -> int:
-        """Non-zero weights across both sign planes."""
-        return self.fused.nnz
+        """Input columns the transform reads."""
+        return self.weights.shape[0]
 
     @property
     def nbytes(self) -> int:
-        """Decoded footprint: fused layout + packed bit planes."""
-        return self.fused.nbytes + self.masks.nbytes
+        """Decoded in-memory footprint of the dense matrix."""
+        return self.weights.nbytes
+
+
+@dataclass(frozen=True)
+class DepthwiseTaps:
+    """A depthwise ternary filter as ``(KH, KW, C)`` float32 taps.
+
+    ``taps[i, j]`` is the contiguous per-channel weight vector of tap
+    ``(i, j)``.  As a matmul plan it reads the ``(M, C·KH·KW)`` patch
+    matrix (``cols``) and yields one value per channel (``rows``).
+    """
+
+    taps: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        """Output channels."""
+        return self.taps.shape[2]
+
+    @property
+    def cols(self) -> int:
+        """Patch-matrix columns: channels × taps."""
+        return self.taps.size
+
+    @property
+    def nbytes(self) -> int:
+        """Decoded in-memory footprint of the taps."""
+        return self.taps.nbytes
 
 
 def _fuse(planes: TernaryPlanes) -> FusedPlanes:
@@ -170,7 +180,6 @@ def _fuse(planes: TernaryPlanes) -> FusedPlanes:
         empty=np.flatnonzero(lengths == 0),
         nonempty=nonempty,
         nonempty_bounds=np.ascontiguousarray(starts[nonempty]),
-        max_segment=int(lengths.max()) if lengths.size else 0,
     )
 
 
@@ -192,11 +201,15 @@ class KernelBackend:
 
     ``prepare`` runs once per decoded plane pair (at
     :class:`~repro.serving.packed.PackedModel` decode time) and returns the
-    backend's plan-resident layout; ``matmul`` is the hot path.  Backends
-    must be bitwise identical to
-    :func:`repro.serving.kernels.ternary_matmul` on every dtype they
-    accelerate, and must expose ``rows`` / ``cols`` / ``nbytes`` on the
-    prepared object so plan byte accounting stays honest.
+    backend's plan-resident layout; ``matmul`` is the hot path.  The
+    prepared object exposes ``rows`` / ``cols`` / ``nbytes`` so plan byte
+    accounting stays honest, and ``matmul`` accepts any ``(M, cols)``
+    input for every layer kind, depthwise included.
+
+    Depthwise filters get their own pair of hooks.  The default runs them
+    through the plain matmul over block-diagonal planes (each channel's
+    gather confined to its own ``KH·KW`` patch columns); a backend with a
+    cheaper per-channel form overrides both.
     """
 
     #: registry key; subclasses override
@@ -209,6 +222,21 @@ class KernelBackend:
     def matmul(self, x: np.ndarray, prepared) -> np.ndarray:
         """``x @ W.T`` against the prepared ternary layout."""
         raise NotImplementedError
+
+    def prepare_depthwise(self, planes: TernaryPlanes, kernel: Tuple[int, int]):
+        """Plan for a ``(C, KH·KW)`` depthwise filter: block-diagonal planes."""
+        kh, kw = kernel
+        return self.prepare(as_block_diagonal(planes, kh * kw))
+
+    def depthwise(self, windows: np.ndarray, prepared) -> np.ndarray:
+        """Filter ``(..., C, KH, KW)`` windows channel by channel → ``(..., C)``.
+
+        The default copies the window view into the ``(M, C·KH·KW)`` patch
+        matrix and runs :meth:`matmul` on it.
+        """
+        lead = windows.shape[:-3]
+        patches = windows.reshape(math.prod(lead), prepared.cols)
+        return self.matmul(patches, prepared).reshape(*lead, prepared.rows)
 
     def _record(self, start_s: float, profile) -> None:
         """Attribute one fused pass to this backend in the active profile."""
@@ -350,145 +378,124 @@ class FusedBackend(KernelBackend):
         return out
 
 
-class NarrowBackend(FusedBackend):
-    """Fused execution with narrow accumulators where exactness allows.
+def _dense_values(planes: TernaryPlanes) -> np.ndarray:
+    """The ``(rows, cols)`` float32 ``{-1, 0, +1}`` matrix of a plane pair."""
+    values = np.zeros((planes.rows, planes.cols), dtype=np.float32)
+    for indices, ptr, sign in (
+        (planes.plus_indices, planes.plus_ptr, 1.0),
+        (planes.minus_indices, planes.minus_ptr, -1.0),
+    ):
+        values[np.repeat(np.arange(planes.rows), np.diff(ptr)), indices] = sign
+    return values
 
-    ``int64`` activations gather and accumulate in ``int32`` — halving
-    scratch bandwidth — whenever ``2 * max(|x|) * max_segment`` provably
-    fits, then cast back (exact, so bitwise).  The factor of 2 covers the
-    signed combine: each plane half is bounded by ``max(|x|) *
-    max_segment``, but ``plus - minus`` spans twice that.  The decode-time
-    half of the check is ``int32_amax_bound``: the largest activation
-    magnitude the longest segment (and the combine) can absorb without
-    overflow; the call-time half is one ``min()``/``max()`` pass over the
-    activations, compared in Python ints so ``INT64_MIN`` (whose ``np.abs``
-    wraps to itself) is measured exactly and stays wide.
 
-    ``narrow_floats=True`` additionally accumulates ``float64`` inputs in
-    ``float32``.  That path is **not** bitwise identical to the reference —
-    it trades mantissa bits for bandwidth — so it is a constructor opt-in,
-    never part of the registered default, and excluded from the identity
-    property tests.
+def _row_blocked_matmul(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``x @ weights`` as GEMM calls of exactly :data:`GEMM_BLOCK_ROWS` rows.
+
+    BLAS chooses its kernel by problem size, and the kernels round
+    differently: OpenBLAS 0.3.31 (AVX-512) switches sgemm kernels near
+    ``M·N·K = 10**6``, which changes the bits of a width-8 conv1 row once
+    a batch reaches ~32 utterances, and numpy hands single-row products to
+    gemv.  Running every call at one fixed shape — the tail block
+    zero-padded — makes a row's result depend on that row alone, so the
+    dense backend is batch-invariant by construction.
+    """
+    x = np.ascontiguousarray(x)
+    m = x.shape[0]
+    out = np.empty((m, weights.shape[1]), dtype=np.result_type(x, weights))
+    block = GEMM_BLOCK_ROWS
+    full = m - m % block
+    for lo in range(0, full, block):
+        np.matmul(x[lo : lo + block], weights, out=out[lo : lo + block])
+    if full < m:
+        tail = np.zeros((block, x.shape[1]), dtype=x.dtype)
+        tail[: m - full] = x[full:]
+        out[full:] = (tail @ weights)[: m - full]
+    return out
+
+
+def _tap_sum(windows: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Depthwise filter as ``Σ_ij windows[..., i, j] * taps[i, j]`` → ``(..., C)``.
+
+    ``windows`` is ``(..., C, KH, KW)`` — a strided window view works as
+    is — and the taps accumulate in row-major order through in-place
+    multiply / add.  Every output depends only on its own window, so the
+    leading axis is processed in :data:`TAP_CHUNK_BYTES` chunks whose
+    running sum stays in cache across the ``KH·KW`` passes (~1.3× on a
+    batch-256 paper-config forward) without changing a bit.
+    """
+    kh, kw, _ = taps.shape
+    alloc = np.empty if kh * kw else np.zeros
+    out = alloc(windows.shape[:-2], dtype=np.result_type(windows, taps))
+    rows = max(1, TAP_CHUNK_BYTES // max(1, out[:1].nbytes))
+    scratch = np.empty_like(out[:rows])
+    for lo in range(0, out.shape[0], rows):
+        window, acc = windows[lo : lo + rows], out[lo : lo + rows]
+        product = scratch[: acc.shape[0]]
+        for tap, (i, j) in enumerate(np.ndindex(kh, kw)):
+            if tap == 0:
+                np.multiply(window[..., i, j], taps[i, j], out=acc)
+            else:
+                np.multiply(window[..., i, j], taps[i, j], out=product)
+                np.add(acc, product, out=acc)
+    return out
+
+
+def dense_error_bound(x: np.ndarray, values: np.ndarray, terms: int) -> np.ndarray:
+    """The dense contract as numbers: ``2 · n · eps · Σ|x·w|`` per output.
+
+    ``values`` is the ``(rows, cols)`` ternary matrix and ``terms`` the
+    number ``n`` of products each output sums (``cols``, or the taps of a
+    depthwise filter).  Both the reference and the dense backend add the
+    same exact products (``w`` is ±1 or 0), each within
+    ``γ_n · Σ|x·w|`` of the exact sum whatever the order; integer inputs
+    are exact, so their bound is zero.
+    """
+    eps = np.finfo(x.dtype).eps if np.issubdtype(x.dtype, np.floating) else 0.0
+    magnitude = np.abs(x.astype(np.float64)) @ np.abs(values.astype(np.float64)).T
+    return 2 * terms * eps * magnitude
+
+
+class DenseBackend(KernelBackend):
+    """BLAS GEMM against the decoded ``{-1, 0, +1}`` matrix; tap sums for depthwise.
+
+    Not bitwise equal to the reference — see the module docstring for the
+    contract this backend keeps instead.  Inputs of a dtype other than
+    float32 multiply against the weights cast to theirs, so the result
+    keeps ``x``'s dtype as in the reference (integer inputs stay exact).
     """
 
-    name = "narrow"
+    name = "dense"
 
-    def __init__(self, layout: str = "auto", narrow_floats: bool = False) -> None:
-        super().__init__(layout=layout)
-        self.narrow_floats = narrow_floats
+    def prepare(self, planes: TernaryPlanes) -> DenseMatrix:
+        """Decode the planes once into the ``(cols, rows)`` float32 matrix."""
+        return DenseMatrix(np.ascontiguousarray(_dense_values(planes).T))
 
-    def int32_amax_bound(self, prepared: FusedPlanes) -> int:
-        """Largest ``|x|`` the segment sums *and* the combine can absorb.
+    def prepare_depthwise(self, planes: TernaryPlanes, kernel: Tuple[int, int]) -> DepthwiseTaps:
+        """Per-channel taps instead of a block-diagonal matrix of mostly zeros."""
+        kh, kw = kernel
+        taps = _dense_values(planes).reshape(planes.rows, kh, kw).transpose(1, 2, 0)
+        return DepthwiseTaps(np.ascontiguousarray(taps))
 
-        Each plane half is bounded by ``amax * max_segment``; the final
-        ``plus - minus`` doubles that, so the bound halves again — without
-        the factor of 2 the combine itself can wrap int32.
-        """
-        return int(np.iinfo(np.int32).max) // (2 * max(1, prepared.max_segment))
-
-    def matmul(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """Narrow when provably exact (or opted in); else fused-wide."""
+    def matmul(self, x: np.ndarray, prepared) -> np.ndarray:
+        """Row-blocked GEMM; a depthwise plan tap-sums the reshaped patches."""
         _check_cols(x, prepared)
-        if x.dtype == np.int64 and prepared.nnz and x.size:
-            # Python-int magnitude: np.abs(INT64_MIN) wraps to INT64_MIN,
-            # which would read as negative and falsely pass the gate
-            amax = max(int(x.max()), -int(x.min()))
-            if amax <= self.int32_amax_bound(prepared):
-                narrow = super().matmul(x.astype(np.int32), prepared)
-                return narrow.astype(np.int64)
-        if self.narrow_floats and x.dtype == np.float64:
-            return super().matmul(x.astype(np.float32), prepared).astype(np.float64)
-        return super().matmul(x, prepared)
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Per-word population count, ``np.bitwise_count`` or a byte LUT."""
-    counter = getattr(np, "bitwise_count", None)
-    if counter is not None:
-        return counter(words)
-    bytes_view = words.view(np.uint8)
-    return _POPCOUNT_LUT[bytes_view].reshape(*words.shape, words.dtype.itemsize).sum(
-        axis=-1, dtype=np.int64
-    )
-
-
-#: bits-set-per-byte lookup, the ``bitwise_count`` fallback for numpy < 2
-_POPCOUNT_LUT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.int64
-)
-
-
-class PopcountBackend(KernelBackend):
-    """Bit-plane popcount execution for exactly-binary activations.
-
-    The ternary weights become packed ``uint64`` bitmasks at prepare time;
-    a binary activation batch packs to bit planes once per call, and every
-    plane sum is ``popcount(x_bits & mask)`` — the TNN execution model,
-    with no per-element gather at all.  The binary precondition is checked
-    exactly (`every` value 0 or 1); anything else delegates to the fused
-    path, so the backend stays bitwise identical on arbitrary inputs.
-    """
-
-    name = "popcount"
-
-    def __init__(self) -> None:
-        self._fused = FusedBackend()
-        # gated-off (non-binary) passes are still this backend's work, so
-        # the fallback records under "popcount" in the kernel profile
-        self._fused.name = self.name
-
-    def prepare(self, planes: TernaryPlanes) -> PopcountPlanes:
-        """Fused layout + packed per-row sign bitmasks."""
-        fused = _fuse(planes)
-        words = max(1, (planes.cols + 63) // 64)
-        masks = np.zeros((2 * planes.rows, words * 8), dtype=np.uint8)
-        bounds = np.append(fused.bounds, fused.nnz)
-        for segment in range(2 * planes.rows):
-            cols = fused.indices[bounds[segment] : bounds[segment + 1]]
-            if cols.size:
-                bits = np.zeros(words * 64, dtype=np.uint8)
-                bits[cols] = 1
-                masks[segment] = np.packbits(bits, bitorder="little")
-        return PopcountPlanes(fused=fused, masks=masks.view(np.uint64), words=words)
-
-    def matmul(self, x: np.ndarray, prepared: PopcountPlanes) -> np.ndarray:
-        """Popcount on bit planes when binary; fused gather otherwise."""
-        _check_cols(x, prepared)
-        if not self._binary(x, prepared):
-            return self._fused.matmul(x, prepared.fused)
+        if isinstance(prepared, DepthwiseTaps):
+            kh, kw, c = prepared.taps.shape
+            return self.depthwise(x.reshape(x.shape[0], c, kh, kw), prepared)
         profile = get_kernel_profile()
         start = time.perf_counter() if profile is not None else 0.0
-        rows = prepared.rows
-        counts = np.empty((x.shape[0], 2 * rows), dtype=np.int64)
-        # pack the batch's activation bits once: (M, words) uint64
-        bits = np.zeros((x.shape[0], prepared.words * 64), dtype=np.uint8)
-        bits[:, : x.shape[1]] = x != 0
-        planes_bits = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-        # scratch per batch row: the (2*rows, words) AND slab, in uint64
-        chunk = gather_chunk_rows(2 * rows * prepared.words, 8)
-        for lo in range(0, x.shape[0], chunk):
-            anded = planes_bits[lo : lo + chunk, None, :] & prepared.masks[None, :, :]
-            counts[lo : lo + chunk] = _popcount(anded).sum(axis=2, dtype=np.int64)
-        plus = counts[:, :rows].astype(x.dtype)
-        minus = counts[:, rows:].astype(x.dtype)
-        result = plus - minus
+        out = _row_blocked_matmul(x, prepared.weights.astype(x.dtype, copy=False))
         self._record(start, profile)
-        return result
+        return out
 
-    def _binary(self, x: np.ndarray, prepared: PopcountPlanes) -> bool:
-        """True when every activation is exactly 0 or 1 and counts are exact.
-
-        Float accumulators represent segment counts exactly only below
-        2**24, so a (pathologically dense) plane whose longest segment
-        could overflow that is gated off too — the reference would also be
-        summing inexactly there, but through a different order.
-        """
-        if x.size == 0 or prepared.nnz == 0:
-            return False
-        if x.dtype.kind == "f" and prepared.fused.max_segment >= _float_exact_max(x.dtype):
-            return False
-        binary = x != 0
-        return bool(np.array_equal(x, binary.astype(x.dtype)))
+    def depthwise(self, windows: np.ndarray, prepared: DepthwiseTaps) -> np.ndarray:
+        """The per-channel tap sum, straight off the window view."""
+        profile = get_kernel_profile()
+        start = time.perf_counter() if profile is not None else 0.0
+        out = _tap_sum(windows, prepared.taps.astype(windows.dtype, copy=False))
+        self._record(start, profile)
+        return out
 
 
 # --------------------------------------------------------------------------- #
@@ -526,7 +533,7 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def default_backend_name() -> str:
-    """The process default: ``$REPRO_KERNEL_BACKEND`` or ``"fused"``."""
+    """The process default: ``$REPRO_KERNEL_BACKEND`` or ``"dense"``."""
     return os.environ.get(ENV_KERNEL_BACKEND) or DEFAULT_BACKEND_NAME
 
 
@@ -549,10 +556,9 @@ def registered_backend_name(kernel: Union[str, KernelBackend, None] = None) -> s
     Worker pools ship the backend across the process boundary as a registry
     *name* (instances don't survive spawn pickling), so an instance is only
     acceptable when it **is** the registered backend for its name — a
-    configured instance (``FusedBackend(layout="feature")``,
-    ``NarrowBackend(narrow_floats=True)``) would otherwise silently run as
-    the registered default in every worker, and an unregistered custom
-    backend would fail every model load.
+    configured instance (``FusedBackend(layout="feature")``) would
+    otherwise silently run as the registered default in every worker, and
+    an unregistered custom backend would fail every model load.
     """
     backend = resolve_backend(kernel)
     if isinstance(kernel, KernelBackend) and _REGISTRY.get(backend.name) is not backend:
@@ -568,22 +574,23 @@ def registered_backend_name(kernel: Union[str, KernelBackend, None] = None) -> s
 
 register_backend(ReferenceBackend())
 register_backend(FusedBackend())
-register_backend(NarrowBackend())
-register_backend(PopcountBackend())
+register_backend(DenseBackend())
 
 
 __all__ = [
     "ENV_KERNEL_BACKEND",
     "DEFAULT_BACKEND_NAME",
+    "GEMM_BLOCK_ROWS",
+    "DenseMatrix",
+    "DepthwiseTaps",
     "FusedPlanes",
-    "PopcountPlanes",
     "KernelBackend",
     "ReferenceBackend",
     "FusedBackend",
-    "NarrowBackend",
-    "PopcountBackend",
+    "DenseBackend",
     "available_backends",
     "default_backend_name",
+    "dense_error_bound",
     "get_backend",
     "register_backend",
     "registered_backend_name",

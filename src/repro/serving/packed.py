@@ -3,9 +3,12 @@
 :class:`PackedModel` is the serving-side counterpart of
 :class:`repro.deploy.interpreter.ImageInterpreter`: it consumes the same
 :class:`~repro.deploy.image.ModelImage` bytes, but decodes each layer's
-2-bit blobs **once** into bit-plane form (:mod:`repro.serving.kernels`) and
-then executes every forward as gather-accumulate passes — no per-call
-unpacking, no dense float weight matrices.
+2-bit blobs **once** into the kernel backend's execution layout — bit
+planes for the gather backends (:mod:`repro.serving.kernels`), a
+``{-1, 0, +1}`` float32 matrix for the dense default — so no call unpacks
+anything.  Activations travel channels-last (NHWC) through every layer: a
+convolution's window view then already has its columns in the ternary
+transforms' ``(C, KH, KW)`` order, and a 1×1 pointwise conv is a reshape.
 
 ``cache=False`` keeps the microcontroller-faithful on-the-fly semantics
 (decode on every call, nothing resident beyond the image) through the very
@@ -16,6 +19,7 @@ when decoding happens.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -25,11 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.deploy.image import LayerRecord, ModelImage
 from repro.deploy.packing import unpack_ternary
 from repro.errors import ConfigError
-from repro.serving.kernels import (
-    as_block_diagonal,
-    decode_planes,
-    get_kernel_profile,
-)
+from repro.serving.kernels import decode_planes, get_kernel_profile
 from repro.serving.kernels_fast import KernelBackend, get_backend, resolve_backend
 
 
@@ -58,10 +58,11 @@ def _profiled(method):
 class LayerPlan:
     """One decoded layer: bit-plane transforms + float tables, forward-ready.
 
-    ``wb`` / ``wc`` hold the *backend-prepared* plane layout — the plain
-    CSR :class:`~repro.serving.kernels.TernaryPlanes` for the reference
-    backend, a fused or popcount layout for the fast backends — so a plan
-    only ever executes on the backend that decoded it.
+    ``wb`` / ``wc`` hold the *backend-prepared* layout — the plain CSR
+    :class:`~repro.serving.kernels.TernaryPlanes` for the reference
+    backend, a fused segment layout or a dense matrix (per-channel taps for
+    a depthwise ``wb``) for the others — so a plan only ever executes on
+    the backend that decoded it.
     """
 
     kind: str  # "conv" | "dw" | "pw" | "linear"
@@ -93,21 +94,23 @@ def decode_layer(record: LayerRecord, backend: Optional[KernelBackend] = None) -
     if backend is None:
         backend = get_backend("reference")
     if record.kind == "dw":
-        # (C, KH, KW): block-diagonal planes over the (M, C*K) patch matrix.
-        c, kh, kw = record.wb_shape
-        wb = as_block_diagonal(decode_planes(record.wb_blob, record.wb_shape), kh * kw)
+        # (C, KH, KW): one KH*KW-tap filter per channel
+        _, kh, kw = record.wb_shape
+        wb = backend.prepare_depthwise(
+            decode_planes(record.wb_blob, record.wb_shape), (kh, kw)
+        )
         wc_planes = None
         wc_vector = unpack_ternary(record.wc_blob, record.wc_shape).astype(np.float32)
     else:
         shape = record.wb_shape
         kh, kw = (shape[2], shape[3]) if len(shape) == 4 else (1, 1)
-        wb = decode_planes(record.wb_blob, shape)
+        wb = backend.prepare(decode_planes(record.wb_blob, shape))
         wc_planes = decode_planes(record.wc_blob, record.wc_shape)
         wc_vector = None
     return LayerPlan(
         kind=record.kind,
         meta=record.meta,
-        wb=backend.prepare(wb),
+        wb=wb,
         kernel=(kh, kw),
         wc=None if wc_planes is None else backend.prepare(wc_planes),
         wc_vector=wc_vector,
@@ -117,17 +120,32 @@ def decode_layer(record: LayerRecord, backend: Optional[KernelBackend] = None) -
     )
 
 
-def _conv_patches(x: np.ndarray, kh: int, kw: int, stride, padding) -> np.ndarray:
-    """Extract (N, OH, OW, C*KH*KW) patch matrix with zero padding."""
+def _conv_windows(x: np.ndarray, kh: int, kw: int, stride, padding) -> np.ndarray:
+    """(N, OH, OW, C, KH, KW) window view of a zero-padded NHWC activation."""
     sh, sw = stride
     ph, pw = padding
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    # (N, C, OH, OW, KH, KW) -> (N, OH, OW, C*KH*KW)
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        x.shape[0], windows.shape[2], windows.shape[3], -1
-    )
+        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    return sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+
+
+def _conv_patches(x: np.ndarray, kh: int, kw: int, stride, padding) -> np.ndarray:
+    """(N, OH, OW, C*KH*KW) patch matrix of an NHWC activation.
+
+    A 1×1 stride-1 unpadded conv reads the activation as it is; any other
+    window view is copied once into the patch matrix (im2col).
+    """
+    if (kh, kw) == (1, 1) and tuple(stride) == (1, 1) and not any(padding):
+        return x
+    windows = _conv_windows(x, kh, kw, stride, padding)
+    return windows.reshape(*windows.shape[:3], math.prod(windows.shape[3:]))
+
+
+def _epilogue(out: np.ndarray, scale, shift, relu) -> np.ndarray:
+    """``out * scale + shift``, ReLU'd when asked — in place on a fresh array."""
+    out *= scale
+    out += shift
+    return np.maximum(out, 0.0, out=out) if relu else out
 
 
 class PackedModel:
@@ -139,8 +157,9 @@ class PackedModel:
     :mod:`repro.serving.kernels_fast` registry — a registered name, a
     :class:`~repro.serving.kernels_fast.KernelBackend` instance, or
     ``None`` for the process default (``$REPRO_KERNEL_BACKEND``, falling
-    back to the fused single-pass backend).  Every registered backend is
-    bitwise identical to the reference, so the choice only moves latency.
+    back to the dense GEMM backend).  ``"fused"`` is bitwise identical to
+    ``"reference"``; ``"dense"`` keeps the tolerance contract stated in
+    :mod:`repro.serving.kernels_fast`.
     Instances are read-only after construction and safe to share across
     threads.
     """
@@ -187,28 +206,21 @@ class PackedModel:
         matmul = self.kernel_backend.matmul
         patches = _conv_patches(x, kh, kw, meta["stride"], meta["padding"])
         n, oh, ow, d = patches.shape
-        hidden = matmul(patches.reshape(-1, d), plan.wb)  # additions only
+        hidden = matmul(patches.reshape(n * oh * ow, d), plan.wb)  # additions only
         hidden *= plan.a_hat  # the r multiplications
         out = matmul(hidden, plan.wc)  # additions only
-        out = out * plan.out_scale + plan.out_shift
-        out = out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
-        return np.maximum(out, 0.0) if meta.get("relu") else out
+        out = _epilogue(out, plan.out_scale, plan.out_shift, meta.get("relu"))
+        return out.reshape(n, oh, ow, out.shape[1])
 
     @_profiled
     def _depthwise(self, plan: LayerPlan, x: np.ndarray) -> np.ndarray:
         """Grouped-SPN depthwise: ternary per-channel filter → ⊙(â·w_c)."""
         kh, kw = plan.kernel
         meta = plan.meta
-        c = x.shape[1]
-        # same (M, C*K) patch layout as _conv; the block-diagonal planes
-        # restrict each channel's gather to its own K columns
-        patches = _conv_patches(x, kh, kw, meta["stride"], meta["padding"])
-        n, oh, ow, _ = patches.shape
-        hidden = self.kernel_backend.matmul(patches.reshape(n * oh * ow, -1), plan.wb)
-        hidden = hidden.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
-        scale = (plan.a_hat * plan.wc_vector * plan.out_scale).reshape(1, c, 1, 1)
-        out = hidden * scale + plan.out_shift.reshape(1, c, 1, 1)
-        return np.maximum(out, 0.0) if meta.get("relu") else out
+        windows = _conv_windows(x, kh, kw, meta["stride"], meta["padding"])
+        hidden = self.kernel_backend.depthwise(windows, plan.wb)  # (N, OH, OW, C)
+        scale = plan.a_hat * plan.wc_vector * plan.out_scale
+        return _epilogue(hidden, scale, plan.out_shift, meta.get("relu"))
 
     @_profiled
     def _linear(self, plan: LayerPlan, z: np.ndarray) -> np.ndarray:
@@ -225,12 +237,12 @@ class PackedModel:
         x = np.asarray(x, dtype=np.float32)
         if x.ndim == 2:
             x = x[None]
-        x = x[:, None, :, :]  # NCHW
+        x = x[..., None]  # NHWC, one input channel
         x = self._conv(self._plan("conv1"), x)
         for i in range(self.header["num_conv_layers"] - 1):
             x = self._depthwise(self._plan(f"ds{i}.dw"), x)
             x = self._conv(self._plan(f"ds{i}.pw"), x)
-        return x.mean(axis=(2, 3))
+        return x.mean(axis=(1, 2))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Full inference: MFCC batch → (N, num_labels) class scores."""

@@ -540,14 +540,14 @@ def dump_trace(traces: Iterable[Trace], path: str) -> Dict[str, Any]:
 
 
 class KernelProfile:
-    """Per-layer-kind timing of the packed kernels' gather passes.
+    """Per-layer-kind timing of the packed kernels' passes.
 
     Installed globally with :func:`profile_kernels` (or
     ``ClusterRouter.profile_kernels``); :mod:`repro.serving.packed`
-    marks the active layer kind (``conv`` / ``dw`` / ``pw`` / ``fc``)
-    and :mod:`repro.serving.kernels` attributes each ``_plane_sums``
-    gather pass to it.  ``snapshot()`` yields the per-model latency
-    breakdown the ROADMAP's kernel work is gated on.
+    marks the active layer kind (``conv`` / ``dw`` / ``pw`` / ``linear``)
+    and every kernel backend attributes each pass it runs — a gather, a
+    GEMM or a depthwise tap sum, still counted as ``gather_*`` — to it.
+    ``snapshot()`` yields the per-model latency breakdown.
     """
 
     def __init__(self) -> None:

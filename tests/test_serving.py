@@ -153,7 +153,8 @@ class TestPackedModel:
         record = image.layer("ds0.dw")
         channels = record.wb_shape[0]
         x = rng.integers(-4, 5, size=(3, channels, 25, 5)).astype(np.float32)
-        got = packed._depthwise(plan, x)
+        # the runtime carries activations channels-last
+        got = packed._depthwise(plan, x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         with no_grad():
             hidden = depthwise_conv2d(
                 Tensor(x),
@@ -185,9 +186,10 @@ class TestPackedModel:
         r, channels, kh, kw = record.wb_shape
         assert plan.kind == ("conv" if layer == "conv1" else "pw")
         x = rng.integers(-4, 5, size=(3, channels, 49, 10)).astype(np.float32)
+        x_nhwc = x.transpose(0, 2, 3, 1)  # the runtime carries activations channels-last
         stride = tuple(plan.meta["stride"])
         padding = tuple(plan.meta["padding"])
-        patches = _conv_patches(x, kh, kw, stride, padding)
+        patches = _conv_patches(x_nhwc, kh, kw, stride, padding)
         n, oh, ow, d = patches.shape
         hidden = ternary_matmul(patches.reshape(-1, d), plan.wb)
         with no_grad():
@@ -201,7 +203,7 @@ class TestPackedModel:
             hidden.reshape(n, oh, ow, r).transpose(0, 3, 1, 2), reference
         )
         # full layer: W_b reference pipeline → ⊙â → ternary W_c → scale/shift
-        got = packed._conv(plan, x)
+        got = packed._conv(plan, x_nhwc).transpose(0, 3, 1, 2)
         ref_hidden = reference.transpose(0, 2, 3, 1).reshape(-1, r) * plan.a_hat
         out = ternary_matmul(ref_hidden, plan.wc) * plan.out_scale + plan.out_shift
         out = out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
