@@ -36,8 +36,8 @@ from repro.serving import (
 from repro.serving.kernels import as_block_diagonal
 from repro.serving.kernels_fast import dense_error_bound
 
-#: fused backend must beat the reference by this factor on linear+pw kinds
-FUSED_SPEEDUP_FLOOR = 1.3
+#: dense backend must beat the reference by this factor on linear+pw kinds
+DENSE_SPEEDUP_FLOOR = 2.0
 #: the speedup gate needs quiet parallel hardware, like the cluster benches
 MIN_GATE_CPUS = 4
 
@@ -204,7 +204,7 @@ def _interleaved_speedups(reference_fn, fn, pairs: int = 7, inner: int = 4):
 #: ``linear`` is the tree layers' 64-feature -> r=12 transform at serving
 #: batch; ``pw`` is a pointwise conv over its N*OH*OW patch rows; ``dw``
 #: is a 64-channel 3x3 depthwise filter over its (M, C*9) patch matrix
-#: (block-diagonal planes for the gather backends, taps for dense).
+#: (block-diagonal planes for the reference, taps for dense).
 BACKEND_CASES = {
     "linear": (256, 12, 64, 0.9),
     "pw": (4000, 64, 64, 0.9),
@@ -214,15 +214,16 @@ DW_KERNEL = (3, 3)
 
 
 def test_backend_speedups():
-    """Every registered backend against the reference, timed interleaved.
+    """Every backend against the reference kernel, timed interleaved.
 
-    ``reference`` and ``fused`` must match :func:`ternary_matmul` bit for
-    bit; ``dense`` must stay within its stated bound
+    ``reference`` must match :func:`ternary_matmul` bit for bit; ``dense``
+    must stay within its stated bound
     (:func:`~repro.serving.kernels_fast.dense_error_bound`).  Timings are
     interleaved reference/backend pairs, recorded as median and IQR of the
-    per-pair speedups.  The fused-backend floor on the linear and pw kinds
+    per-pair speedups.  The dense-backend floor on the linear and pw kinds
     only gates on >= ``MIN_GATE_CPUS`` machines (like the cluster benches)
-    — below that the timings are still recorded, just not enforced.
+    — below that the timings are still recorded, just not enforced; ``dw``
+    is recorded but never gated.
     """
     rng = np.random.default_rng(7)
     results: dict = {}
@@ -266,7 +267,7 @@ def test_backend_speedups():
         "kernels",
         backends=results,
         backend_gate={
-            "floor": FUSED_SPEEDUP_FLOOR,
+            "floor": DENSE_SPEEDUP_FLOOR,
             "kinds": ["linear", "pw"],
             "cpus": cpus,
             "enforced": enforced,
@@ -274,8 +275,8 @@ def test_backend_speedups():
     )
     if enforced:
         for kind in ("linear", "pw"):
-            speedup = results["fused"][kind]["speedup_vs_reference"]
-            assert speedup >= FUSED_SPEEDUP_FLOOR, (kind, speedup)
+            speedup = results["dense"][kind]["speedup_vs_reference"]
+            assert speedup >= DENSE_SPEEDUP_FLOOR, (kind, speedup)
 
 
 @pytest.mark.parametrize("layer_kind", ["dense", "strassen"])

@@ -9,9 +9,8 @@ With ``kernel="reference"`` the arithmetic mirrors a microcontroller
 kernel: ternary transforms are applied as gather-accumulate passes over the
 +1/−1 bit planes (TNN-style packed execution), and the only multiplications
 are the per-hidden-unit ⊙â and the per-channel output scale — exactly the
-operation census of the cost model.  The default is the process-default
-kernel backend (the dense GEMM backend unless ``$REPRO_KERNEL_BACKEND``
-says otherwise).  The hot path is the shared packed runtime in
+operation census of the cost model.  The default is the dense GEMM
+kernel backend.  The hot path is the shared packed runtime in
 :mod:`repro.serving.packed`: by default (``cache=True``) each layer's
 2-bit blobs are decoded once and reused across calls; ``cache=False``
 re-decodes on every call — the original on-the-fly semantics, with nothing

@@ -6,14 +6,11 @@ it *fast to serve*:
 * :mod:`repro.serving.kernels`  — TNN-style bit-plane execution: ternary
   matmuls as two gather-accumulate passes over +1/−1 index planes, decoded
   once from the 2-bit blobs;
-* :mod:`repro.serving.kernels_fast` — the pluggable kernel-backend
-  registry: the fused single-pass gather backend (one concatenated index
-  plane, one gather, one reduceat, signed combine — bitwise identical to
-  the reference) and the default dense backend (BLAS GEMM against the
-  decoded ``{-1, 0, +1}`` matrix, per-channel tap sums for depthwise —
-  within a stated tolerance of the reference), selectable via
-  ``PackedModel(kernel=...)`` / ``ClusterRouter(kernel=...)`` /
-  ``$REPRO_KERNEL_BACKEND``;
+* :mod:`repro.serving.kernels_fast` — the two kernel backends: the
+  reference gather (the oracle) and the default dense backend (BLAS GEMM
+  against the decoded ``{-1, 0, +1}`` matrix, per-channel tap sums for
+  depthwise — within a stated tolerance of the reference), selectable via
+  ``PackedModel(kernel=...)`` / ``ClusterRouter(kernel=...)``;
 * :mod:`repro.serving.packed`   — :class:`PackedModel`, the cached runtime
   (``cache=False`` reproduces the on-the-fly reference semantics bitwise);
 * :mod:`repro.serving.batching` — :class:`BatchingEngine`, coalescing
@@ -119,13 +116,10 @@ from repro.serving.frontend import AsyncServingFrontend
 from repro.serving.kernels import TernaryPlanes, decode_planes, ternary_matmul
 from repro.serving.kernels_fast import (
     DenseBackend,
-    FusedBackend,
     KernelBackend,
     ReferenceBackend,
     available_backends,
     get_backend,
-    register_backend,
-    registered_backend_name,
     resolve_backend,
 )
 from repro.serving.packed import LayerPlan, PackedModel, decode_layer
@@ -231,13 +225,10 @@ __all__ = [
     "decode_planes",
     "ternary_matmul",
     "DenseBackend",
-    "FusedBackend",
     "KernelBackend",
     "ReferenceBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
-    "registered_backend_name",
     "resolve_backend",
     "LayerPlan",
     "PackedModel",

@@ -83,7 +83,6 @@ import multiprocessing
 import os
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -108,7 +107,7 @@ from repro.serving.catalog import (
     split_key,
 )
 from repro.serving.kernels import get_kernel_profile, set_kernel_profile
-from repro.serving.kernels_fast import KernelBackend, registered_backend_name
+from repro.serving.kernels_fast import resolve_backend
 from repro.serving.packed import PackedModel
 from repro.serving.placement import (
     PlacementPolicy,
@@ -274,8 +273,7 @@ def _worker_main(
     ``kernel`` is the execution-backend name every model loaded into this
     worker runs on (:mod:`repro.serving.kernels_fast`).  The parent pool
     resolves it once and ships the *name* in the spawn args, so all
-    replicas of a cluster execute the same kernels regardless of the
-    workers' own environment.
+    replicas of a cluster execute the same kernels.
     """
     models: Dict[str, PackedModel] = {}
     engines: Dict[str, BatchingEngine] = {}
@@ -695,16 +693,12 @@ class WorkerPool:
     one-off crashes keep today's instant-restart behaviour.
 
     ``kernel`` pins the execution backend every worker decodes and runs
-    models on (:mod:`repro.serving.kernels_fast`).  It is resolved to a
-    registered backend *name* eagerly — in the parent, at construction —
-    and that name rides the worker-init spawn args, so all replicas (and
-    every crash-restart replacement) execute identical kernels even if
-    the worker processes inherit a different ``$REPRO_KERNEL_BACKEND``.
-    ``None`` resolves the parent's process default.  Because only the
-    name crosses the process boundary, a :class:`KernelBackend` instance
-    is accepted only when it is the registered backend for its name —
-    anything else raises :class:`~repro.errors.ConfigError` up front
-    rather than silently running a different configuration per worker.
+    models on (:mod:`repro.serving.kernels_fast`): ``"reference"``,
+    ``"dense"`` or ``None`` (``"dense"``).  The name is validated in the
+    parent at construction and rides the worker-init spawn args, so all
+    replicas (and every crash-restart replacement) execute identical
+    kernels.  Only a name crosses the process boundary, so a backend
+    instance raises :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -715,17 +709,19 @@ class WorkerPool:
         start_method: str = "spawn",
         transport: Union[SlabConfig, bool, None] = True,
         restart_backoff: Optional[RestartBackoffPolicy] = None,
-        kernel: Union[str, "KernelBackend", None] = None,
+        kernel: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ConfigError("a worker pool needs at least 1 worker")
         self.num_workers = workers
         self.config = config or MicroBatchConfig()
-        # resolved to a plain name now: validates the choice in the parent
-        # and keeps the spawn args picklable for the spawn start method;
-        # instances that aren't the registered backend for their name are
-        # rejected — workers could only re-resolve the name, not the config
-        self.kernel = registered_backend_name(kernel)
+        if kernel is not None and not isinstance(kernel, str):
+            raise ConfigError(
+                f"pass a kernel backend name ('reference' or 'dense'), not a "
+                f"{type(kernel).__name__}: worker pools ship the name and each "
+                "worker resolves it in its own process"
+            )
+        self.kernel = resolve_backend(kernel).name
         if transport is True:
             self._transport_config: Optional[SlabConfig] = SlabConfig()
         elif transport is False or transport is None:
@@ -1610,17 +1606,13 @@ class ClusterRouter:
         to a pool built here — crash-looping workers respawn under capped
         exponential delay instead of hot-looping re-decodes.
     kernel:
-        Execution backend every worker decodes and serves models on — a
-        :mod:`repro.serving.kernels_fast` registry name, a *registered*
-        :class:`~repro.serving.kernels_fast.KernelBackend` instance, or
-        ``None`` for the process default.  Resolved eagerly to a backend
-        *name* and forwarded to the pool built here, so the whole cluster
-        is homogeneous: every replica (including crash-restart
-        replacements) runs bitwise-identical kernels.  Instances that are
-        not the registered backend for their name (e.g. a configured
-        ``FusedBackend(layout="feature")``) are rejected with
-        :class:`~repro.errors.ConfigError` — workers re-resolve the name
-        in their own process and would silently drop the configuration.
+        Execution backend every worker decodes and serves models on:
+        ``"reference"``, ``"dense"`` or ``None`` (``"dense"``), forwarded
+        to the pool built here, so the whole cluster is homogeneous: every
+        replica (including crash-restart replacements) runs
+        bitwise-identical kernels.  A backend instance raises
+        :class:`~repro.errors.ConfigError` — workers re-resolve the name in
+        their own process.
     """
 
     def __init__(
@@ -1640,7 +1632,7 @@ class ClusterRouter:
         breakers: Union[BreakerPolicy, bool, None] = None,
         hedge: Optional[HedgePolicy] = None,
         restart_backoff: Optional[RestartBackoffPolicy] = None,
-        kernel: Union[str, KernelBackend, None] = None,
+        kernel: Optional[str] = None,
     ) -> None:
         if isinstance(workers, WorkerPool):
             if config is not None:
@@ -3101,13 +3093,3 @@ class ClusterRouter:
             errors_by_type=errors_by_type,
             resilience=self._resilience_stats(),
         )
-
-    def stats(self) -> ClusterStats:
-        """Deprecated alias for :meth:`snapshot` (the unified stats name)."""
-        warnings.warn(
-            "ClusterRouter.stats() is deprecated; use snapshot() — the "
-            "unified stats accessor across the serving layer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.snapshot()

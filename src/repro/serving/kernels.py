@@ -156,9 +156,7 @@ def gather_chunk_rows(scratch_cols: int, itemsize: int) -> int:
     **plus** the ``reduceat`` output that coexists with it before being
     written into the result.  The previous bound counted only the gather
     slab, so peak scratch could overshoot :data:`GATHER_SCRATCH_BYTES` by
-    the reduce output's size; this helper is the single corrected formula
-    shared by the reference kernel and every
-    :mod:`repro.serving.kernels_fast` backend.
+    the reduce output's size; this helper is that corrected formula.
     """
     return max(1, GATHER_SCRATCH_BYTES // max(1, scratch_cols * itemsize))
 

@@ -1,24 +1,16 @@
-"""Pluggable ternary kernel backends: fused gather and dense GEMM.
+"""Ternary kernel backends: the reference gather and the dense GEMM.
 
 The reference kernel (:mod:`repro.serving.kernels`) executes a ternary
-matmul as **two** gather-accumulate passes — one per sign plane — each
-materialising its own scratch slab and walking the activations
-independently.  This module makes the execution strategy pluggable: a
-:class:`KernelBackend` registry (``"reference"`` / ``"fused"`` /
-``"dense"``) selectable per :class:`~repro.serving.packed.PackedModel`
-(``kernel=``), per cluster (``ClusterRouter(kernel=...)`` rides the
-worker-init config so every replica runs the same backend) or
-process-wide via the ``REPRO_KERNEL_BACKEND`` environment variable.
+matmul as **two** gather-accumulate passes — one per sign plane.  This
+module puts it beside the served kernel in a fixed table of two backends
+(:class:`KernelBackend`), ``"reference"`` and ``"dense"``, selectable per
+:class:`~repro.serving.packed.PackedModel` (``kernel=``) or per cluster
+(``ClusterRouter(kernel=...)`` ships the *name* in the worker-init config
+so every replica runs the same backend).  ``kernel=None`` means
+``"dense"``.
 
-* :class:`FusedBackend` — **bitwise identical** to the reference: the +/−
-  planes are concatenated into **one** index array at prepare time, so
-  each matmul runs one gather, one ``reduceat`` over ``2 × rows`` segments,
-  and one signed combine (``plus_half - minus_half``) instead of two full
-  passes and two scratch slabs.  Orientation is adaptive: gather-heavy
-  shapes transpose the activation chunk so ``reduceat`` runs along axis 0,
-  where every accumulation step is a contiguous SIMD-friendly row addition
-  — same summation order, measurably faster on the gather-dominated
-  ``linear`` / ``pw`` layer kinds.
+* :class:`ReferenceBackend` — the two-pass gather, unchanged: the oracle
+  the tests and the serving benchmark check every other output against.
 * :class:`DenseBackend` — the default.  The planes decode once into a
   float32 ``{-1, 0, +1}`` matrix and every matmul is a BLAS GEMM
   (``x @ W``); a depthwise filter stays a per-channel ``(KH, KW, C)`` tap
@@ -36,7 +28,6 @@ process-wide via the ``REPRO_KERNEL_BACKEND`` environment variable.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
@@ -47,15 +38,11 @@ from repro.errors import ConfigError
 from repro.serving.kernels import (
     TernaryPlanes,
     as_block_diagonal,
-    gather_chunk_rows,
     get_kernel_profile,
     ternary_matmul,
 )
 
-#: environment variable naming the process-wide default backend
-ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
-
-#: registry default when the environment does not override it
+#: the backend ``kernel=None`` resolves to
 DEFAULT_BACKEND_NAME = "dense"
 
 #: rows of every dense GEMM call (the tail block is zero-padded): see
@@ -69,44 +56,6 @@ TAP_CHUNK_BYTES = 256 * 1024
 # --------------------------------------------------------------------------- #
 # prepared plane layouts
 # --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class FusedPlanes:
-    """Both sign planes of one ternary matrix as a single segment array.
-
-    ``indices`` is the reference's ``plus_indices`` and ``minus_indices``
-    back to back; segment ``j < rows`` is row ``j``'s +1 columns and
-    segment ``rows + j`` its −1 columns, delimited by ``bounds`` (the 2 ×
-    rows segment starts).  ``empty`` lists the segments with no entries —
-    ``reduceat`` emits a stray element for those, which the matmul zeroes —
-    with ``nonempty`` / ``nonempty_bounds`` the prepare-time complement the
-    hot path reduces over (fixed per layout, so never recomputed per call).
-    """
-
-    rows: int
-    cols: int
-    indices: np.ndarray
-    bounds: np.ndarray
-    empty: np.ndarray
-    nonempty: np.ndarray
-    nonempty_bounds: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        """Non-zero weights across both sign planes."""
-        return int(self.indices.size)
-
-    @property
-    def nbytes(self) -> int:
-        """Decoded in-memory footprint of the fused layout."""
-        return (
-            self.indices.nbytes
-            + self.bounds.nbytes
-            + self.empty.nbytes
-            + self.nonempty.nbytes
-            + self.nonempty_bounds.nbytes
-        )
 
 
 @dataclass(frozen=True)
@@ -161,28 +110,6 @@ class DepthwiseTaps:
         return self.taps.nbytes
 
 
-def _fuse(planes: TernaryPlanes) -> FusedPlanes:
-    """Concatenate a plane pair into the single-gather segment layout."""
-    indices = np.concatenate([planes.plus_indices, planes.minus_indices])
-    starts = np.concatenate(
-        [planes.plus_ptr[:-1], planes.plus_indices.size + planes.minus_ptr[:-1]]
-    ).astype(np.intp)
-    ends = np.concatenate(
-        [planes.plus_ptr[1:], planes.plus_indices.size + planes.minus_ptr[1:]]
-    ).astype(np.intp)
-    lengths = ends - starts
-    nonempty = np.flatnonzero(lengths)
-    return FusedPlanes(
-        rows=planes.rows,
-        cols=planes.cols,
-        indices=np.ascontiguousarray(indices, dtype=np.intp),
-        bounds=np.ascontiguousarray(starts),
-        empty=np.flatnonzero(lengths == 0),
-        nonempty=nonempty,
-        nonempty_bounds=np.ascontiguousarray(starts[nonempty]),
-    )
-
-
 def _check_cols(x: np.ndarray, prepared) -> None:
     """Reject shape mismatches with the reference kernel's message."""
     if x.shape[1] != prepared.cols:
@@ -212,7 +139,7 @@ class KernelBackend:
     cheaper per-channel form overrides both.
     """
 
-    #: registry key; subclasses override
+    #: backend-table key; subclasses override
     name = "abstract"
 
     def prepare(self, planes: TernaryPlanes):
@@ -239,7 +166,7 @@ class KernelBackend:
         return self.matmul(patches, prepared).reshape(*lead, prepared.rows)
 
     def _record(self, start_s: float, profile) -> None:
-        """Attribute one fused pass to this backend in the active profile."""
+        """Attribute one kernel pass to this backend in the active profile."""
         if profile is not None:
             profile.record_gather(time.perf_counter() - start_s, self.name)
 
@@ -256,126 +183,6 @@ class ReferenceBackend(KernelBackend):
     def matmul(self, x: np.ndarray, prepared: TernaryPlanes) -> np.ndarray:
         """Two gather-accumulate passes (profiling is recorded inside)."""
         return ternary_matmul(x, prepared)
-
-
-class FusedBackend(KernelBackend):
-    """Single-pass gather: one scratch slab, one ``reduceat``, one combine.
-
-    ``layout`` picks the gather orientation: ``"batch"`` gathers
-    ``x[chunk, indices]`` and reduces along axis 1 (the reference's
-    orientation), ``"feature"`` transposes the activation chunk and reduces
-    along axis 0 — every accumulation step is then a contiguous row-wise
-    vector add, which wins whenever the gather volume amortises the
-    transpose.  ``"auto"`` (default) chooses per call from the measured
-    heuristic: feature-major when the plane has at least as many non-zeros
-    as input columns *and* segments are long enough to vectorise.
-
-    Both orientations perform the per-segment additions in the exact same
-    left-to-right order, so the choice never changes a single output bit.
-    """
-
-    name = "fused"
-
-    #: ``"auto"`` needs segments at least this long before the axis-0
-    #: vector adds beat the reference's axis-1 scalar loop
-    MIN_VECTOR_SEGMENT = 8
-
-    def __init__(self, layout: str = "auto") -> None:
-        if layout not in ("auto", "batch", "feature"):
-            raise ConfigError(
-                f"unknown fused layout {layout!r}: pick auto, batch or feature"
-            )
-        self.layout = layout
-
-    def prepare(self, planes: TernaryPlanes) -> FusedPlanes:
-        """Concatenate the sign planes into the single-gather layout."""
-        return _fuse(planes)
-
-    def matmul(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """One gather + one ``reduceat`` + one signed combine."""
-        _check_cols(x, prepared)
-        profile = get_kernel_profile()
-        start = time.perf_counter() if profile is not None else 0.0
-        out = self._segment_sums(x, prepared)
-        result = out[:, : prepared.rows] - out[:, prepared.rows :]
-        self._record(start, profile)
-        return result
-
-    def _feature_major(self, x: np.ndarray, prepared: FusedPlanes) -> bool:
-        """The orientation heuristic (overridable via ``layout=``)."""
-        if self.layout != "auto":
-            return self.layout == "feature"
-        segments = 2 * prepared.rows
-        if not segments:
-            return False
-        return (
-            prepared.nnz >= prepared.cols
-            and prepared.nnz // segments >= self.MIN_VECTOR_SEGMENT
-        )
-
-    def _segment_sums(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """The ``(M, 2 * rows)`` per-segment sums, empty segments zeroed."""
-        segments = 2 * prepared.rows
-        if prepared.nnz == 0 or x.shape[0] == 0:
-            return np.zeros((x.shape[0], segments), dtype=x.dtype)
-        if self._feature_major(x, prepared):
-            return self._sums_feature_major(x, prepared)
-        return self._sums_batch_major(x, prepared)
-
-    def _sums_batch_major(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """Gather ``x[chunk, indices]`` and reduce along axis 1."""
-        segments = 2 * prepared.rows
-        out = np.empty((x.shape[0], segments), dtype=x.dtype)
-        # scratch per batch row: the gathered slab + the reduceat output
-        chunk = gather_chunk_rows(prepared.nnz + segments, x.dtype.itemsize)
-        if prepared.empty.size == 0:
-            # every bound starts a real segment, so reduceat can write
-            # straight into the output — no scatter pass
-            for lo in range(0, x.shape[0], chunk):
-                gathered = x[lo : lo + chunk, prepared.indices]
-                np.add.reduceat(gathered, prepared.bounds, axis=1, out=out[lo : lo + chunk])
-            return out
-        # empty segments would make reduceat read past the index array (a
-        # trailing empty bound equals nnz) or emit strays — reduce only the
-        # populated segments and scatter, exactly like the reference
-        nonempty = prepared.nonempty
-        bounds = prepared.nonempty_bounds
-        out[:] = 0
-        for lo in range(0, x.shape[0], chunk):
-            gathered = x[lo : lo + chunk, prepared.indices]
-            out[lo : lo + chunk, nonempty] = np.add.reduceat(gathered, bounds, axis=1)
-        return out
-
-    def _sums_feature_major(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """Transpose the chunk, gather whole rows, reduce along axis 0.
-
-        ``reduceat`` along the leading axis accumulates full contiguous
-        batch rows per step — SIMD-width adds instead of per-element scalar
-        loops — while visiting each segment's entries in the identical
-        order, so the sums are bit-for-bit the batch-major ones.
-        """
-        segments = 2 * prepared.rows
-        out = np.empty((x.shape[0], segments), dtype=x.dtype)
-        # scratch per batch row: transposed copy + gathered slab + reduce out
-        chunk = gather_chunk_rows(
-            prepared.nnz + segments + prepared.cols, x.dtype.itemsize
-        )
-        if prepared.empty.size == 0:
-            nonempty = None
-            bounds = prepared.bounds
-        else:
-            nonempty = prepared.nonempty
-            bounds = prepared.nonempty_bounds
-            out[:] = 0
-        for lo in range(0, x.shape[0], chunk):
-            xt = np.ascontiguousarray(x[lo : lo + chunk].T)
-            gathered = xt[prepared.indices]
-            sums = np.add.reduceat(gathered, bounds, axis=0)
-            if nonempty is None:
-                out[lo : lo + chunk] = sums.T
-            else:
-                out[lo : lo + chunk, nonempty] = sums.T
-        return out
 
 
 def _dense_values(planes: TernaryPlanes) -> np.ndarray:
@@ -499,48 +306,34 @@ class DenseBackend(KernelBackend):
 
 
 # --------------------------------------------------------------------------- #
-# registry
+# backend table
 # --------------------------------------------------------------------------- #
 
-_REGISTRY: Dict[str, KernelBackend] = {}
-
-
-def register_backend(backend: KernelBackend, *, replace: bool = False) -> KernelBackend:
-    """Add a backend to the registry under ``backend.name``; returns it.
-
-    Registering over an existing name needs ``replace=True`` — silent
-    shadowing of a measured backend is how perf regressions hide.
-    """
-    if not replace and backend.name in _REGISTRY:
-        raise ConfigError(f"kernel backend {backend.name!r} is already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
+#: the two backends, by name: the oracle and the served default
+_BACKENDS: Dict[str, KernelBackend] = {
+    backend.name: backend for backend in (ReferenceBackend(), DenseBackend())
+}
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, registration order."""
-    return tuple(_REGISTRY)
+    """The backend names: ``("reference", "dense")``."""
+    return tuple(_BACKENDS)
 
 
 def get_backend(name: str) -> KernelBackend:
-    """Look up a registered backend by name."""
-    backend = _REGISTRY.get(name)
+    """Look up a backend by name."""
+    backend = _BACKENDS.get(name)
     if backend is None:
         raise ConfigError(
-            f"unknown kernel backend {name!r}: available {sorted(_REGISTRY)}"
+            f"unknown kernel backend {name!r}: available {sorted(_BACKENDS)}"
         )
     return backend
 
 
-def default_backend_name() -> str:
-    """The process default: ``$REPRO_KERNEL_BACKEND`` or ``"dense"``."""
-    return os.environ.get(ENV_KERNEL_BACKEND) or DEFAULT_BACKEND_NAME
-
-
 def resolve_backend(kernel: Union[str, KernelBackend, None] = None) -> KernelBackend:
-    """Resolve a ``kernel=`` argument: instance, registered name, or default."""
+    """Resolve a ``kernel=`` argument: instance, backend name, or ``"dense"``."""
     if kernel is None:
-        return get_backend(default_backend_name())
+        return get_backend(DEFAULT_BACKEND_NAME)
     if isinstance(kernel, KernelBackend):
         return kernel
     if isinstance(kernel, str):
@@ -550,49 +343,16 @@ def resolve_backend(kernel: Union[str, KernelBackend, None] = None) -> KernelBac
     )
 
 
-def registered_backend_name(kernel: Union[str, KernelBackend, None] = None) -> str:
-    """Resolve ``kernel`` to a name that re-resolves identically elsewhere.
-
-    Worker pools ship the backend across the process boundary as a registry
-    *name* (instances don't survive spawn pickling), so an instance is only
-    acceptable when it **is** the registered backend for its name — a
-    configured instance (``FusedBackend(layout="feature")``) would
-    otherwise silently run as the registered default in every worker, and
-    an unregistered custom backend would fail every model load.
-    """
-    backend = resolve_backend(kernel)
-    if isinstance(kernel, KernelBackend) and _REGISTRY.get(backend.name) is not backend:
-        raise ConfigError(
-            f"worker pools ship kernel backends by registered name, and "
-            f"{backend.name!r} does not resolve back to the instance passed: "
-            "pass a registered backend name instead (workers re-resolve the "
-            "name in their own process, so a configured instance would not "
-            "survive the trip)"
-        )
-    return backend.name
-
-
-register_backend(ReferenceBackend())
-register_backend(FusedBackend())
-register_backend(DenseBackend())
-
-
 __all__ = [
-    "ENV_KERNEL_BACKEND",
     "DEFAULT_BACKEND_NAME",
     "GEMM_BLOCK_ROWS",
     "DenseMatrix",
     "DepthwiseTaps",
-    "FusedPlanes",
     "KernelBackend",
     "ReferenceBackend",
-    "FusedBackend",
     "DenseBackend",
     "available_backends",
-    "default_backend_name",
     "dense_error_bound",
     "get_backend",
-    "register_backend",
-    "registered_backend_name",
     "resolve_backend",
 ]

@@ -4,7 +4,7 @@
 :class:`repro.deploy.interpreter.ImageInterpreter`: it consumes the same
 :class:`~repro.deploy.image.ModelImage` bytes, but decodes each layer's
 2-bit blobs **once** into the kernel backend's execution layout — bit
-planes for the gather backends (:mod:`repro.serving.kernels`), a
+planes for the reference gather (:mod:`repro.serving.kernels`), a
 ``{-1, 0, +1}`` float32 matrix for the dense default — so no call unpacks
 anything.  Activations travel channels-last (NHWC) through every layer: a
 convolution's window view then already has its columns in the ternary
@@ -60,9 +60,9 @@ class LayerPlan:
 
     ``wb`` / ``wc`` hold the *backend-prepared* layout — the plain CSR
     :class:`~repro.serving.kernels.TernaryPlanes` for the reference
-    backend, a fused segment layout or a dense matrix (per-channel taps for
-    a depthwise ``wb``) for the others — so a plan only ever executes on
-    the backend that decoded it.
+    backend, a dense matrix (per-channel taps for a depthwise ``wb``) for
+    the dense one — so a plan only ever executes on the backend that
+    decoded it.
     """
 
     kind: str  # "conv" | "dw" | "pw" | "linear"
@@ -153,12 +153,10 @@ class PackedModel:
 
     ``cache=True`` decodes every layer once at construction; ``cache=False``
     re-decodes per call (the deploy-image reference semantics).  ``kernel``
-    selects the execution backend from the
-    :mod:`repro.serving.kernels_fast` registry — a registered name, a
+    selects the execution backend of :mod:`repro.serving.kernels_fast` —
+    ``"reference"``, ``"dense"``, a
     :class:`~repro.serving.kernels_fast.KernelBackend` instance, or
-    ``None`` for the process default (``$REPRO_KERNEL_BACKEND``, falling
-    back to the dense GEMM backend).  ``"fused"`` is bitwise identical to
-    ``"reference"``; ``"dense"`` keeps the tolerance contract stated in
+    ``None`` for ``"dense"``, which keeps the tolerance contract stated in
     :mod:`repro.serving.kernels_fast`.
     Instances are read-only after construction and safe to share across
     threads.

@@ -54,7 +54,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -578,8 +577,8 @@ class KernelProfile:
         """Record one gather pass under the active layer kind.
 
         ``backend`` names the kernel backend that executed the pass
-        (``"reference"`` for the classic two-pass kernel, a
-        :mod:`repro.serving.kernels_fast` registry name otherwise); the
+        (``"reference"`` for the classic two-pass kernel, ``"dense"`` for
+        the GEMM one); the
         per-backend sub-rows are what lets a mixed-backend process — or a
         cluster mid-rollout — attribute gather time to the code that spent
         it.
@@ -737,16 +736,3 @@ class TelemetryServer(ThreadingHTTPServer):
         """Stop on exit."""
         self.stop()
 
-
-def _percentile_summary(values: Sequence[float]) -> Dict[str, float]:
-    """count/mean/p50/p99 (ms) helper shared by stats mirrors."""
-    if not values:
-        return {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
-    arr = np.asarray(values, dtype=np.float64) * 1e3
-    p50, p99 = np.percentile(arr, [50.0, 99.0])
-    return {
-        "count": len(values),
-        "mean_ms": float(arr.mean()),
-        "p50_ms": float(p50),
-        "p99_ms": float(p99),
-    }

@@ -1,12 +1,12 @@
-"""Pluggable kernel backends: identity, the dense contract, cluster homogeneity.
+"""Kernel backends: identity, the dense contract, cluster homogeneity.
 
-Two contracts are under test.  The gather backends (``reference`` and
-``fused``) produce **bit-for-bit** the reference kernel's output — across
-shapes, sparsities, layouts and gather-chunk boundaries.  The default
-``dense`` backend is held to its stated tolerance instead: within
-``2 · n · eps · Σ|x·w|`` of the reference, deterministic, and
-batch-invariant.  A cluster's ``kernel=`` choice survives worker spawn
-*and* crash restart.
+Two contracts are under test.  The ``reference`` backend produces
+**bit-for-bit** the reference kernel's output — across shapes,
+sparsities and gather-chunk boundaries — and keeps the golden digest.
+The default ``dense`` backend is held to its stated tolerance instead:
+within ``2 · n · eps · Σ|x·w|`` of the reference, deterministic, and
+batch-invariant.  A cluster's ``kernel=`` name survives worker spawn
+*and* crash restart; anything but ``reference`` / ``dense`` fails loudly.
 """
 
 from __future__ import annotations
@@ -36,14 +36,10 @@ from repro.serving.kernels_fast import (
     DenseBackend,
     DenseMatrix,
     DepthwiseTaps,
-    FusedBackend,
-    FusedPlanes,
     KernelBackend,
     available_backends,
-    default_backend_name,
     dense_error_bound,
     get_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.serving.packed import PackedModel, decode_layer
@@ -63,7 +59,7 @@ def planes_for(values: np.ndarray) -> TernaryPlanes:
 
 
 #: the backends held to bitwise identity with the reference
-BITWISE_BACKENDS = ("reference", "fused")
+BITWISE_BACKENDS = ("reference",)
 ALL_BACKENDS = BITWISE_BACKENDS + ("dense",)
 
 
@@ -82,37 +78,21 @@ def paper_image():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(ALL_BACKENDS) <= set(available_backends())
+        assert available_backends() == ALL_BACKENDS
         assert DEFAULT_BACKEND_NAME == "dense"
 
     def test_unknown_backend_is_config_error(self):
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            get_backend("warp-drive")
+        for name in ("warp-drive", "fused"):
+            with pytest.raises(ConfigError, match=f"unknown kernel backend '{name}'"):
+                get_backend(name)
 
-    def test_duplicate_registration_needs_replace(self):
-        class Dup(FusedBackend):
-            name = "fused"
-
-        with pytest.raises(ConfigError, match="already registered"):
-            register_backend(Dup())
-        register_backend(Dup(), replace=True)  # explicit shadowing allowed
-        register_backend(FusedBackend(), replace=True)  # restore
-
-    def test_resolve_precedence(self, monkeypatch):
-        assert resolve_backend("fused").name == "fused"
-        instance = FusedBackend(layout="batch")
+    def test_resolve_precedence(self):
+        assert resolve_backend("reference").name == "reference"
+        instance = DenseBackend()
         assert resolve_backend(instance) is instance
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert default_backend_name() == DEFAULT_BACKEND_NAME
-        assert resolve_backend(None).name == DEFAULT_BACKEND_NAME
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-        assert resolve_backend(None).name == "reference"
+        assert resolve_backend(None) is get_backend(DEFAULT_BACKEND_NAME)
         with pytest.raises(ConfigError, match="kernel must be"):
             resolve_backend(3.14)
-
-    def test_bad_fused_layout_is_config_error(self):
-        with pytest.raises(ConfigError, match="unknown fused layout"):
-            FusedBackend(layout="diagonal")
 
 
 class TestDecodeValidation:
@@ -155,7 +135,7 @@ class TestEdgeShapes:
         model = PackedModel(build_packed_image(width=8), kernel=name)
         assert model(np.empty((0, 49, 10), dtype=np.float32)).shape == (0, 12)
 
-    @pytest.mark.parametrize("name", ["fused", "dense"])
+    @pytest.mark.parametrize("name", ["dense"])
     def test_feature_mismatch_matches_reference_error(self, name):
         planes = planes_for(ternary(np.random.default_rng(0), 4, 6, 0.5))
         backend = get_backend(name)
@@ -192,18 +172,6 @@ class TestScratchBound:
         peak = chunk * (nnz_plus + 16) * x.dtype.itemsize
         assert 1 <= chunk and peak <= budget
         np.testing.assert_array_equal(ternary_matmul(x, planes), want)
-
-    @pytest.mark.parametrize("name", ["fused"])
-    def test_backends_identical_under_tiny_budget(self, name, monkeypatch):
-        """Chunk boundaries at every few rows never change a bit."""
-        rng = np.random.default_rng(4)
-        planes = planes_for(ternary(rng, 12, 40, 0.6))
-        x = rng.standard_normal((37, 40)).astype(np.float32)
-        want = ternary_matmul(x, planes)
-        backend = get_backend(name)
-        prepared = backend.prepare(planes)
-        monkeypatch.setattr(kernels, "GATHER_SCRATCH_BYTES", 512)
-        np.testing.assert_array_equal(backend.matmul(x, prepared), want)
 
 
 DTYPES = {
@@ -245,30 +213,8 @@ class TestBitwiseIdentity:
                 assert got.dtype == want.dtype, (name, dtype)
                 np.testing.assert_array_equal(got, want, err_msg=f"{name}/{dtype}")
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        layout=st.sampled_from(["batch", "feature"]),
-    )
-    def test_forced_layouts_identical(self, seed, layout):
-        """Both fused orientations keep the exact summation order."""
-        rng = np.random.default_rng(seed)
-        planes = planes_for(ternary(rng, 10, 30, 0.5))
-        x = rng.standard_normal((13, 30)).astype(np.float32)
-        backend = FusedBackend(layout=layout)
-        np.testing.assert_array_equal(
-            backend.matmul(x, backend.prepare(planes)), ternary_matmul(x, planes)
-        )
-
 
 class TestPlanAccounting:
-    def test_fused_planes_nbytes_and_nnz(self):
-        planes = planes_for(ternary(np.random.default_rng(10), 6, 12, 0.5))
-        prepared = FusedBackend().prepare(planes)
-        assert isinstance(prepared, FusedPlanes)
-        assert prepared.nnz == planes.nnz
-        assert prepared.nbytes > 0
-
     def test_dense_plans_shape_and_nbytes(self):
         values = ternary(np.random.default_rng(10), 6, 12, 0.5)
         dense = DenseBackend().prepare(planes_for(values))
@@ -283,20 +229,6 @@ class TestPlanAccounting:
             taps.taps, values.reshape(6, 3, 4).transpose(1, 2, 0)
         )
 
-    def test_nonempty_segments_precomputed_at_fuse_time(self):
-        """The hot path reads prepare-time arrays, never re-derives them."""
-        values = np.zeros((5, 9), dtype=np.int8)
-        values[0, :3] = 1
-        values[2, 4:6] = -1  # rows 1, 3, 4 (and their sign twins) are empty
-        prepared = FusedBackend().prepare(planes_for(values))
-        segments = 2 * prepared.rows
-        want = np.setdiff1d(np.arange(segments), prepared.empty, assume_unique=True)
-        np.testing.assert_array_equal(prepared.nonempty, want)
-        np.testing.assert_array_equal(
-            prepared.nonempty_bounds, prepared.bounds[prepared.nonempty]
-        )
-        assert prepared.nonempty.size + prepared.empty.size == segments
-
     def test_packed_model_kernel_selection(self):
         image = build_packed_image(width=8)
         rng = np.random.default_rng(12)
@@ -310,10 +242,11 @@ class TestPlanAccounting:
                 np.testing.assert_array_equal(packed(x), want, err_msg=name)
             else:
                 np.testing.assert_allclose(packed(x), want, rtol=1e-5, atol=1e-5)
-        custom = PackedModel(image, kernel=FusedBackend(layout="feature"))
-        np.testing.assert_array_equal(custom(x), want)
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            PackedModel(image, kernel="warp-drive")
+        instance = PackedModel(image, kernel=get_backend("reference"))
+        np.testing.assert_array_equal(instance(x), want)
+        for name in ("warp-drive", "fused"):
+            with pytest.raises(ConfigError, match="unknown kernel backend"):
+                PackedModel(image, kernel=name)
 
 
 class TestDenseContract:
@@ -454,12 +387,12 @@ class TestDenseContract:
 
 
 class TestReferenceGolden:
-    """Channels-last activations must not move a single gather-backend bit.
+    """Channels-last activations must not move a single reference bit.
 
     The digests were taken from the paper-config image's scores and
     features while the runtime still carried activations channels-first
-    (NumPy 2.4, x86-64); the reference and fused backends must keep
-    reproducing them exactly.
+    (NumPy 2.4, x86-64); the reference backend must keep reproducing them
+    exactly.
     """
 
     SCORES_SHA256 = "0fdddceb8b3d4b98733ff48d68dc147c5e53e23043bd2c8a491e83a44497bc3e"
@@ -494,9 +427,9 @@ class TestClusterKernelRoundTrip:
             profile = router.kernel_profile()
             return {b for row in profile.values() for b in row.get("backends", {})}
 
-        # "reference" is distinct from the process default ("dense"), so the
-        # profile proves the name rode the spawn args, not the environment
-        assert default_backend_name() != "reference"
+        # "reference" is distinct from the default ("dense"), so the
+        # profile proves the name rode the spawn args
+        assert DEFAULT_BACKEND_NAME != "reference"
         router = ClusterRouter(workers=1, kernel="reference")
         assert router.kernel == "reference"
         router.register("m", image)
@@ -524,28 +457,29 @@ class TestClusterKernelRoundTrip:
     def test_prebuilt_pool_rejects_router_kernel(self):
         from repro.serving import ClusterRouter, WorkerPool
 
-        pool = WorkerPool(1, kernel="fused")
-        assert pool.kernel == "fused"
+        pool = WorkerPool(1, kernel="reference")
+        assert pool.kernel == "reference"
         with pytest.raises(ConfigError, match="pass kernel only when"):
-            ClusterRouter(pool, kernel="fused")
+            ClusterRouter(pool, kernel="reference")
         router = ClusterRouter(pool)
-        assert router.kernel == "fused"  # adopted from the prebuilt pool
+        assert router.kernel == "reference"  # adopted from the prebuilt pool
 
     def test_pool_rejects_unregistered_backend_instances(self):
-        """Pools ship names: a configured instance would silently run as
-        the registered default in every worker, so reject it up front."""
+        """Pools ship backend names to their workers: every instance —
+        even the table's own — is a ConfigError, as is an unknown name."""
         from repro.serving import ClusterRouter, WorkerPool
 
-        with pytest.raises(ConfigError, match="by registered name"):
-            WorkerPool(1, kernel=FusedBackend(layout="feature"))
-        with pytest.raises(ConfigError, match="by registered name"):
+        with pytest.raises(ConfigError, match="pass a kernel backend name"):
+            WorkerPool(1, kernel=get_backend("dense"))
+        with pytest.raises(ConfigError, match="pass a kernel backend name"):
             ClusterRouter(workers=1, kernel=DenseBackend())
 
         class Custom(KernelBackend):
-            name = "custom-unregistered"
+            name = "custom"
 
-        with pytest.raises(ConfigError, match="by registered name"):
+        with pytest.raises(ConfigError, match="pass a kernel backend name"):
             WorkerPool(1, kernel=Custom())
-        # the registered instance itself still round-trips by identity
-        pool = WorkerPool(1, kernel=get_backend("dense"))
-        assert pool.kernel == "dense"
+        for name in ("fused", "custom"):
+            with pytest.raises(ConfigError, match="unknown kernel backend"):
+                WorkerPool(1, kernel=name)
+        assert WorkerPool(1).kernel == DEFAULT_BACKEND_NAME

@@ -470,8 +470,8 @@ class TestModelRegistry:
             ModelRegistry().remove("nope")
 
     def test_lru_eviction(self, image):
-        with pytest.warns(DeprecationWarning):  # count-based alias still works
-            registry = ModelRegistry(capacity=2)
+        plan_bytes = PackedModel(image).decoded_bytes()
+        registry = ModelRegistry(capacity_bytes=2 * plan_bytes)  # two plans fit
         for name in ("a", "b", "c"):
             registry.register(name, image)
         registry.get("a"), registry.get("b"), registry.get("c")
@@ -501,12 +501,6 @@ class TestModelRegistry:
         registry.register("kws", image)
         x = rng.standard_normal((3, 49, 10)).astype(np.float32)
         np.testing.assert_array_equal(registry.predict("kws", x), PackedModel(image)(x))
-
-    def test_capacity_validation(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                ModelRegistry(capacity=0)
-
 
 class TestStreamingThroughEngine:
     def test_engine_path_matches_direct_path(self, image):
